@@ -61,15 +61,18 @@ void MultiQueryRunner::build() const {
   groups_.reserve(plan.groups.size());
   for (std::size_t g = 0; g < plan.groups.size(); ++g) {
     const ScanGroupPlan& gp = plan.groups[g];
-    std::vector<SharedScanMember> members;
+    std::vector<ScanMember> members;
     members.reserve(gp.members.size());
     for (const QueryId id : gp.members)
-      members.push_back(SharedScanMember{id, registrations_[id].query});
+      members.push_back(ScanMember{registrations_[id].query,
+                                   std::make_shared<TagSink>(sink_, id),
+                                   registrations_[id].options.trace});
     // Group members were bucketed on options equality, so the first
     // member's options are the group's options.
-    groups_.push_back(std::make_unique<SharedScanGroup>(
-        gp, std::move(members), registrations_[gp.members.front()].options,
-        sink_));
+    const EngineOptions& options = registrations_[gp.members.front()].options;
+    groups_.push_back(std::make_unique<OooScanCore>(
+        std::move(members), options,
+        EngineObs::create(options.metrics, options.obs_arrival_side)));
     for (std::size_t mi = 0; mi < gp.members.size(); ++mi) {
       entries_[gp.members[mi]].group = g;
       entries_[gp.members[mi]].member = mi;

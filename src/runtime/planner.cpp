@@ -3,15 +3,16 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
+#include "engine/ooo/scan_core.hpp"
 
 namespace oosp {
 namespace {
 
-// Options whose divergence would make a shared admission / clock / purge
-// pipeline behave differently from each member's own engine. Members of
-// one group must agree on all of them; the remaining options either
-// cannot appear in a group (adaptive_slack, cache_rip, trace — excluded
-// below) or have no effect on pure-positive queries (aggressive_negation,
+// Options a core applies once for all its members: one admission
+// pipeline, one clock, one purge cadence, one partitioning decision and
+// one metrics bundle. Members of a group must agree on all of them; the
+// rest either cannot appear in a group (adaptive_slack, trace — excluded
+// below) or have no effect on pure-positive queries (aggressive_negation;
 // obs_arrival_side is a wrapper-only concern).
 bool options_group_equal(const EngineOptions& a, const EngineOptions& b) {
   return a.slack == b.slack && a.late_policy == b.late_policy &&
@@ -21,41 +22,28 @@ bool options_group_equal(const EngineOptions& a, const EngineOptions& b) {
          a.partition_by_key == b.partition_by_key && a.metrics == b.metrics;
 }
 
-// Mirrors OooEngine's own partitioning decision so the shared scan
-// shards by key exactly when each member engine would have.
-bool effectively_partitioned(const ScanPlanEntry& e) {
-  const CompiledQuery& q = *e.query;
-  return e.options.partition_by_key && q.partitionable() &&
-         std::none_of(q.partition_slots().begin(), q.partition_slots().end(),
-                      [](std::size_t s) { return s == CompiledStep::npos; });
-}
-
 }  // namespace
 
 std::string shared_scan_exclusion(const ScanPlanEntry& e) {
   OOSP_REQUIRE(e.query != nullptr, "planner: null query");
   const CompiledQuery& q = *e.query;
-  if (q.is_agg())
-    return "aggregation queries keep dedicated window state";
+  if (q.is_agg()) return "aggregation queries keep dedicated window state, not a scan core";
   if (e.kind != EngineKind::kOoo)
-    return "engine kind is not the native OOO engine";
+    return "engine kind is not the native OOO engine, so there is no scan core to share";
+  // The shared clock observes the UNION of member types, so it runs ahead
+  // of what the query's own engine would have seen — harmless while
+  // lateness only moves counters, semantic wherever a decision reads it.
   if (q.positive_steps().size() != q.num_steps())
-    return "negated steps need per-query sealing state";
-  // The group clock observes the UNION of member types, so it can run
-  // ahead of what a member's own engine would have seen — harmless under
-  // kAdmit (lateness only moves counters), but kDrop/kQuarantine turn
-  // the lateness verdict into a semantic decision that must match the
-  // per-query engine's bit for bit.
+    return "negation seals pending matches at the shared clock's watermark";
   if (e.options.late_policy != LatePolicy::kAdmit)
-    return "dropping or quarantining late events depends on the per-query clock";
+    return "dropping or quarantining late events judges lateness by the shared clock";
   if (e.options.adaptive_slack)
-    return "adaptive slack retunes the effective K per engine";
-  if (e.options.cache_rip) return "cached RIPs encode per-query chain structure";
-  if (e.options.trace) return "trace hooks observe per-engine lifecycles";
-  if (effectively_partitioned(e)) {
+    return "adaptive slack retunes K from lateness seen by the shared clock";
+  if (e.options.trace) return "trace spans report the shared clock and purge horizon";
+  if (OooScanCore::partitions(q, e.options)) {
     for (const TypeId t : q.positive_type_chain())
       if (q.uniform_partition_slot(t) == CompiledStep::npos)
-        return "one event type keys on two different attributes";
+        return "one event type keys on two attributes, but a shared stack shards by one";
   }
   return {};
 }
@@ -64,27 +52,22 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
   struct Building {
     ScanGroupPlan plan;
     const ScanPlanEntry* leader = nullptr;
-    std::vector<TypeId> prefix;  // running common positive-type prefix
+    TypeId first_type = kInvalidType;
+    bool partitioned = false;
+    std::vector<std::size_t> type_slot;  // TypeId -> members' key slot (partitioned)
   };
 
   ScanPlan out;
   std::vector<Building> open;
 
   const auto slot_of = [](const Building& b, TypeId t) -> std::size_t {
-    return t < b.plan.type_slot.size() ? b.plan.type_slot[t]
-                                       : CompiledStep::npos;
+    return t < b.type_slot.size() ? b.type_slot[t] : CompiledStep::npos;
   };
-  const auto absorb = [](Building& b, const CompiledQuery& q,
-                         const std::vector<TypeId>& chain) {
+  const auto absorb = [](Building& b, const CompiledQuery& q, const std::vector<TypeId>& chain) {
+    if (!b.partitioned) return;
     for (const TypeId t : chain) {
-      if (std::find(b.plan.types.begin(), b.plan.types.end(), t) ==
-          b.plan.types.end())
-        b.plan.types.push_back(t);
-      if (b.plan.partitioned) {
-        if (t >= b.plan.type_slot.size())
-          b.plan.type_slot.resize(t + 1, CompiledStep::npos);
-        b.plan.type_slot[t] = q.uniform_partition_slot(t);
-      }
+      if (t >= b.type_slot.size()) b.type_slot.resize(t + 1, CompiledStep::npos);
+      b.type_slot[t] = q.uniform_partition_slot(t);
     }
   };
 
@@ -96,44 +79,34 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
     }
     const CompiledQuery& q = *e.query;
     const std::vector<TypeId> chain = q.positive_type_chain();
-    const bool partitioned = effectively_partitioned(e);
+    const bool partitioned = OooScanCore::partitions(q, e.options);
 
     bool placed = false;
     for (Building& b : open) {
       if (!options_group_equal(e.options, b.leader->options)) continue;
-      if (b.plan.partitioned != partitioned) continue;
-      // Sharing pays off only when the scans actually overlap: require a
-      // common SEQ prefix of at least the first step.
-      if (b.prefix.empty() || b.prefix.front() != chain.front()) continue;
+      if (b.partitioned != partitioned) continue;
+      // Sharing pays off only when the scans actually overlap: require
+      // the same first SEQ type.
+      if (b.first_type != chain.front()) continue;
       if (partitioned) {
-        // Overlapping types must agree on the key attribute — the group
+        // Overlapping types must agree on the key attribute — the core
         // keeps ONE stack per (type, key shard).
-        bool agree = true;
-        for (const TypeId t : chain) {
+        const bool agree = std::all_of(chain.begin(), chain.end(), [&](TypeId t) {
           const std::size_t theirs = slot_of(b, t);
-          if (theirs != CompiledStep::npos &&
-              theirs != q.uniform_partition_slot(t)) {
-            agree = false;
-            break;
-          }
-        }
+          return theirs == CompiledStep::npos || theirs == q.uniform_partition_slot(t);
+        });
         if (!agree) continue;
       }
       b.plan.members.push_back(id);
       absorb(b, q, chain);
-      std::size_t lcp = 0;
-      while (lcp < b.prefix.size() && lcp < chain.size() &&
-             b.prefix[lcp] == chain[lcp])
-        ++lcp;
-      b.prefix.resize(lcp);
       placed = true;
       break;
     }
     if (!placed) {
       Building b;
       b.leader = &e;
-      b.prefix = chain;
-      b.plan.partitioned = partitioned;
+      b.first_type = chain.front();
+      b.partitioned = partitioned;
       b.plan.members.push_back(id);
       absorb(b, q, chain);
       open.push_back(std::move(b));
@@ -142,12 +115,10 @@ ScanPlan plan_shared_scan(std::span<const ScanPlanEntry> entries, bool enabled) 
 
   for (Building& b : open) {
     if (b.plan.members.size() < 2) {
-      // A group of one would just be a worse per-query engine.
+      // A group of one is exactly the query's own engine.
       out.solo.push_back(b.plan.members.front());
       continue;
     }
-    std::sort(b.plan.types.begin(), b.plan.types.end());
-    b.plan.shared_prefix_len = b.prefix.size();
     out.groups.push_back(std::move(b.plan));
   }
   std::sort(out.solo.begin(), out.solo.end());

@@ -1,23 +1,29 @@
 // Plan-time grouping for the shared multi-query sequence scan (MQO).
 //
-// N queries over the same event types pay the SSC arrival-side cost
+// N queries over the same event types pay the arrival-side cost
 // (admission, dedup, stack insertion, watermark/purge bookkeeping) N
 // times when each runs on its own engine. The planner buckets compiled
-// queries whose scans are physically compatible — same engine kind and
-// state-shaping options, a shared SEQ-prefix, and (when partitioned)
+// queries whose scans are physically compatible — native OOO kind, equal
+// state-shaping options, the same first SEQ type, and (when partitioned)
 // agreeing per-type key attributes — into ScanGroupPlans; at execution
-// time a SharedScanGroup (engine/ooo/shared_scan.hpp) maintains ONE set
-// of timestamp-ordered Active Instance Stacks per group while sequence
-// construction and predicate evaluation stay per-query.
+// time each group runs on ONE OooScanCore (engine/ooo/scan_core.hpp)
+// with the queries as its members, while a query that runs alone runs
+// on an OooEngine, a core of one member.
+//
+// A group's members share one clock and one watermark, driven by the
+// union of their types. The remaining exclusions are exactly the
+// features whose decisions read that shared clock — negation sealing,
+// drop/quarantine late policies, adaptive slack, trace spans — plus a
+// type keyed on two attributes (a shared stack shards by one) and
+// queries that do not run on a scan core at all (other engine kinds,
+// AGG).
 //
 // Grouping is deterministic: entries are visited in registration order
 // and greedily join the first compatible open bucket, so the same query
 // set always produces the same plan (checkpoints rely on this — a group
 // is snapshotted once, and restore re-plans to the identical layout).
-// Queries that cannot share (negation, non-OOO kind, adaptive slack,
-// trace hooks, RIP caching, key-attribute conflicts) and buckets that
-// end up with a single member fall back to per-query engines, so the
-// optimization is invisible except in throughput.
+// Buckets that end up with a single member run solo, so the optimization
+// is invisible except in throughput.
 #pragma once
 
 #include <memory>
@@ -39,19 +45,9 @@ struct ScanPlanEntry {
   EngineOptions options;
 };
 
-// One shared-scan group: >= 2 queries that will maintain a single set of
-// per-type stacks.
+// One shared-scan group: >= 2 queries that will run on one scan core.
 struct ScanGroupPlan {
-  std::vector<QueryId> members;       // ascending registration order
-  std::size_t shared_prefix_len = 0;  // longest common positive-type prefix
-  bool partitioned = false;           // every member keys uniformly per type
-
-  // Union of the members' relevant types, ascending.
-  std::vector<TypeId> types;
-
-  // Indexed by TypeId; the equi-join slot for that type when
-  // `partitioned` (entries for types outside `types` are npos).
-  std::vector<std::size_t> type_slot;
+  std::vector<QueryId> members;  // ascending registration order
 };
 
 struct ScanPlan {
@@ -60,8 +56,8 @@ struct ScanPlan {
 };
 
 // Why `e` can never join a shared-scan group; empty when it is eligible.
-// Surfaced through docs/diagnostics so "my query didn't group" is
-// answerable.
+// Each reason names the shared state the query cannot live with, so "my
+// query didn't group" is answerable.
 std::string shared_scan_exclusion(const ScanPlanEntry& e);
 
 // Buckets `entries` into shared-scan groups. With `enabled` false (or

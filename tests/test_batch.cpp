@@ -218,8 +218,6 @@ TEST_F(BatchDeterminism, EngineSweepMatchesPerEventOutput) {
   slacked.slack = slack_;
   EngineOptions slacked_unkeyed = unkeyed;
   slacked_unkeyed.slack = slack_;
-  EngineOptions no_rip = slacked;
-  no_rip.cache_rip = false;
   EngineOptions eager = slacked;
   eager.purge_period = 1;
 
@@ -233,7 +231,6 @@ TEST_F(BatchDeterminism, EngineSweepMatchesPerEventOutput) {
       {"nfa-keyed", EngineKind::kNfa, keyed_q, plain},
       {"ooo-keyed", EngineKind::kOoo, keyed_q, slacked},
       {"ooo-unkeyed", EngineKind::kOoo, unkeyed_q, slacked_unkeyed},
-      {"ooo-keyed-norip", EngineKind::kOoo, keyed_q, no_rip},
       {"ooo-keyed-eager-purge", EngineKind::kOoo, keyed_q, eager},
       {"ooo-negation", EngineKind::kOoo, neg_q, slacked},
       {"kslack-inorder", EngineKind::kKSlackInOrder, keyed_q, slacked},

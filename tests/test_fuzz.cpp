@@ -86,7 +86,6 @@ TEST_P(FuzzSweep, EnginesMatchOracle) {
   EngineOptions opt;
   opt.slack = slack;
   opt.partition_by_key = (seed % 2) == 0;
-  opt.cache_rip = (seed % 3) == 0;
   opt.purge_period = (seed % 5 == 0) ? 1 : (seed % 5 == 1 ? 0 : 32);
 
   {

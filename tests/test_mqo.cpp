@@ -232,7 +232,12 @@ Output run_mix(const SyntheticWorkload& wl, const std::vector<Event>& arrivals,
 TEST(MqoMatrix, SharedScanOutputBitIdenticalToPerQueryEngines) {
   // Mix A: every query groups. Mix B: grouped + solo (negation, unkeyed
   // 4-step chain) so routing interleaves group and per-query slots.
-  const std::vector<std::string> mix_names{"grouped-only", "grouped+solo"};
+  // Mix C: a repeated type with different step-local predicates in one
+  // group — the shared T0 stack admits an event iff a, c or the partner's
+  // first step accepts it (val in [300, 500) fails all three), and every
+  // reader re-checks its own predicate at visit time.
+  const std::vector<std::string> mix_names{"grouped-only", "grouped+solo",
+                                           "repeated-type"};
   for (const std::uint64_t seed : {5ull, 71ull}) {
     SyntheticWorkload wl({.num_events = 6'000, .num_types = 4,
                           .key_cardinality = 24, .mean_gap = 4,
@@ -248,8 +253,18 @@ TEST(MqoMatrix, SharedScanOutputBitIdenticalToPerQueryEngines) {
          wl.seq_query(2, true, 600)},
         {wl.seq_query(2, true, 150), wl.seq_query(3, true, 300),
          wl.negation_query(150), wl.seq_query(4, false, 200)},
+        {"PATTERN SEQ(T0 a, T1 b, T0 c) WHERE a.key == b.key AND b.key == c.key "
+         "AND a.val >= 500 AND c.val < 300 WITHIN 300",
+         wl.seq_query(2, true, 150, /*min_val=*/700)},
     };
     for (std::size_t m = 0; m < mixes.size(); ++m) {
+      {
+        // Every mix must actually share a scan, or the matrix proves nothing.
+        MultiQueryRunner probe(wl.registry(), std::make_shared<CollectingTaggedSink>());
+        for (const std::string& q : mixes[m]) probe.add_query({q, EngineKind::kOoo});
+        probe.prepare();
+        ASSERT_EQ(probe.group_count(), 1u) << mix_names[m];
+      }
       // Baseline: one engine per query, single shard, per-event feed.
       const Output base =
           run_mix(wl, arrivals, mixes[m], slack, 1, 1, /*share=*/false);

@@ -1,6 +1,6 @@
 // Unit tests: the native out-of-order engine — hand-built late-arrival
 // scenarios covering every retroactive-construction anchor position,
-// sealing, cancellation, purging and both RIP modes.
+// sealing, cancellation, purging and repeated-type steps.
 #include <gtest/gtest.h>
 
 #include "engine_test_util.hpp"
@@ -132,39 +132,34 @@ TEST_F(OooEngineTest, PartitioningOnAndOffAgree) {
   expect_exact(EngineKind::kOoo, q, arrivals, with, "partitioned");
 }
 
-TEST_F(OooEngineTest, CachedRipAgreesWithBinarySearch) {
-  const CompiledQuery q = compile_query("PATTERN SEQ(A a, B b, C c) WITHIN 150", reg_);
+TEST_F(OooEngineTest, RepeatedTypeStepsShareOneFilteredStack) {
+  // Steps a and c read one A stack; it admits an A that passes EITHER
+  // step's local predicate, and each step re-checks its own at visit time.
+  const CompiledQuery q = compile_query(
+      "PATTERN SEQ(A a, B b, A c) WHERE a.k == b.k AND b.k == c.k AND a.v >= 5 "
+      "AND c.v < 3 WITHIN 150",
+      reg_);
   std::vector<Event> arrivals;
   EventId id = 0;
-  // Deliberately scrambled deliveries across overlapping windows.
-  for (int i = 0; i < 25; ++i) {
-    const Timestamp base = i * 25;
-    arrivals.push_back(ev("C", id++, base + 20));
-    arrivals.push_back(ev("A", id++, base + 2));
-    arrivals.push_back(ev("B", id++, base + 10));
+  std::uint64_t stored = 0;
+  for (int i = 0; i < 40; ++i) {
+    const Timestamp base = i * 20;
+    const std::int64_t v = i % 8;  // 0-2 pass c, 5-7 pass a, 3-4 pass neither
+    arrivals.push_back(ev("B", id++, base + 15, i % 3));
+    arrivals.push_back(ev("A", id++, base + 3, i % 3, v));  // late
+    arrivals.push_back(ev("A", id++, base + 18, (i + 1) % 3, 7 - v));
+    stored += 1 + (v < 3 || v >= 5) + (7 - v < 3 || 7 - v >= 5);
   }
-  EngineOptions bs = slack(80);
-  EngineOptions rip = slack(80);
-  rip.cache_rip = true;
-  const auto k1 = run_engine_keys(EngineKind::kOoo, q, arrivals, bs);
-  const auto k2 = run_engine_keys(EngineKind::kOoo, q, arrivals, rip);
-  EXPECT_EQ(k1, k2);
-  expect_exact(EngineKind::kOoo, q, arrivals, rip, "cached rip");
-}
-
-TEST_F(OooEngineTest, CachedRipSurvivesPurge) {
-  const CompiledQuery q = compile_query("PATTERN SEQ(A a, B b) WITHIN 30", reg_);
-  EngineOptions opt = slack(20);
-  opt.cache_rip = true;
-  opt.purge_period = 4;
-  std::vector<Event> arrivals;
-  EventId id = 0;
-  for (int i = 0; i < 200; ++i) {
-    const Timestamp base = i * 12;
-    arrivals.push_back(ev("B", id++, base + 8));
-    arrivals.push_back(ev("A", id++, base + 1));  // late first-step
+  for (const bool partition : {true, false}) {
+    EngineOptions opt = slack(40);
+    opt.partition_by_key = partition;
+    expect_exact(EngineKind::kOoo, q, arrivals, opt, partition ? "keyed" : "unkeyed");
+    const auto sink = std::make_shared<CollectingSink>();
+    const auto engine = testutil::make_test_engine(EngineKind::kOoo, q, sink, opt);
+    for (const Event& e : arrivals) engine->on_event(e);
+    engine->finish();
+    EXPECT_EQ(engine->stats_snapshot().instances_inserted, stored);
   }
-  expect_exact(EngineKind::kOoo, q, arrivals, opt, "rip+purge");
 }
 
 TEST_F(OooEngineTest, PurgeNeverDropsNeededState) {

@@ -57,20 +57,29 @@ class SpscQueue {
     return true;
   }
 
+  // Producer side: free slots, counted from the cached consumer index —
+  // the shared one is re-read (acquire) only when the cache shows fewer
+  // than `want`. Never more than the true free count, and only the
+  // producer fills slots, so a following try_push_n of at most this many
+  // elements moves them all.
+  std::size_t room(std::size_t want) {
+    const std::size_t tail = tail_.load(std::memory_order_relaxed);
+    std::size_t free_slots = mask_ - ((tail - head_cache_) & mask_);
+    if (free_slots < want) {
+      head_cache_ = head_.load(std::memory_order_acquire);
+      free_slots = mask_ - ((tail - head_cache_) & mask_);
+    }
+    return free_slots;
+  }
+
   // Producer side, bulk: moves as many leading elements of src into the
   // ring as fit right now and returns that count (0 when full). One
   // acquire (at most) and one release for the whole transaction, so a
   // batch of n amortizes the shared-cache-line traffic n ways.
   std::size_t try_push_n(std::span<T> src) {
-    if (src.empty()) return 0;
+    const std::size_t n = std::min(src.size(), room(src.size()));
+    if (n == 0) return 0;
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    std::size_t free_slots = mask_ - ((tail - head_cache_) & mask_);
-    if (free_slots < src.size()) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free_slots = mask_ - ((tail - head_cache_) & mask_);
-      if (free_slots == 0) return 0;
-    }
-    const std::size_t n = std::min(src.size(), free_slots);
     for (std::size_t i = 0; i < n; ++i) {
       slots_[(tail + i) & mask_] = std::move(src[i]);
     }

@@ -116,6 +116,7 @@ ShardedRunner::ShardedRunner(const TypeRegistry& registry,
     }
   }
   shards_.reserve(num_shards);
+  batch_stage_.resize(num_shards);
   for (std::size_t s = 0; s < num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
@@ -184,15 +185,9 @@ void ShardedRunner::worker_loop(Shard& shard) {
         }
         for (std::size_t i = 0; i < n; ++i) {
           const Event& e = buf[i];
-          // Fault injection: die BEFORE processing, so the victim event is
-          // neither reflected in engine state nor covered by a checkpoint —
-          // the supervisor must replay it. (Events popped but not yet
-          // processed die with this incarnation; their consumed count was
-          // never advanced, so replay covers them too.)
-          if (recovery_.kill_hook && recovery_.kill_hook(e)) throw WorkerKilled(e.id);
-          if (recovery_.delay_hook) recovery_.delay_hook(e);
-          shard.runner->on_event(e);
-          ++shard.consumed;
+          // Events popped but not yet consumed die with this incarnation;
+          // their consumed count was never advanced, so replay covers them.
+          consume(shard, e);
           if (e.ts > consumed_hwm) consumed_hwm = e.ts;
           if (recovery_.enabled() && shard.consumed % recovery_.checkpoint_every == 0)
             checkpoint_shard(shard);
@@ -220,6 +215,16 @@ void ShardedRunner::worker_loop(Shard& shard) {
     if (worker_failures_) worker_failures_->inc();
     shard.dead.store(true, std::memory_order_release);
   }
+}
+
+void ShardedRunner::consume(Shard& shard, const Event& e) {
+  // Fault injection: die BEFORE processing, so the victim event is
+  // neither reflected in engine state nor covered by a checkpoint — the
+  // supervisor must replay it.
+  if (recovery_.kill_hook && recovery_.kill_hook(e)) throw WorkerKilled(e.id);
+  if (recovery_.delay_hook) recovery_.delay_hook(e);
+  shard.runner->on_event(e);
+  ++shard.consumed;
 }
 
 void ShardedRunner::checkpoint_shard(Shard& shard) {
@@ -265,24 +270,23 @@ void ShardedRunner::trim_backup(Shard& shard) {
   }
 }
 
-void ShardedRunner::admit_to_backup(Shard& shard, const Event& e) {
+std::size_t ShardedRunner::admit_to_backup(Shard& shard, std::span<const Event> chunk) {
   trim_backup(shard);
   // Bounded ring: block (yielding) until a checkpoint retires enough of
   // the backlog. Steady state never gets here — between trims the ring
   // holds at most checkpoint_every + queue_capacity events.
   SpinBackoff backoff;
   while (shard.backup.size() >= backup_capacity_) {
-    if (shard.dead.load(std::memory_order_acquire)) {
-      // A dead worker will never checkpoint; recover first (replays the
-      // backup and trims it), then resume admitting. supervise may throw
-      // (kFail exhaustion) or drop the shard — the caller re-checks.
-      if (!supervise_dead_shard(shard)) return;
-    }
+    // A dead worker will never checkpoint; recover first (replays the
+    // backup and trims it), then resume admitting. supervise may throw
+    // (kFail exhaustion) or drop the shard.
+    if (shard.dead.load(std::memory_order_acquire) && !supervise_dead_shard(shard)) return 0;
     backoff.pause();
     trim_backup(shard);
   }
-  shard.backup.push_back(e);
-  ++shard.pushed;
+  const std::size_t n = std::min(chunk.size(), backup_capacity_ - shard.backup.size());
+  shard.backup.insert(shard.backup.end(), chunk.begin(), chunk.begin() + n);
+  return n;
 }
 
 void ShardedRunner::drop_shard(Shard& shard) {
@@ -291,7 +295,6 @@ void ShardedRunner::drop_shard(Shard& shard) {
   // backup now, plus whatever the producer routes here later.
   trim_backup(shard);
   const std::uint64_t lost = shard.backup.size();
-  shard.dropped_events += lost;
   shard.backup.clear();
   shard.queue = std::make_unique<SpscQueue<Event>>(queue_capacity_);
   // A fresh empty sink so take_output() sees only the stable prefix, not
@@ -342,7 +345,6 @@ bool ShardedRunner::supervise_dead_shard(Shard& shard) {
       shard.runner->add_query(spec.query, spec.kind, spec.options);
     shard.runner->prepare();
     try {
-      std::uint64_t replayed = 0;
       std::uint64_t ckpt_consumed = 0;
       {
         std::lock_guard<std::mutex> lock(shard.ckpt_mu);
@@ -359,19 +361,15 @@ bool ShardedRunner::supervise_dead_shard(Shard& shard) {
       OOSP_CHECK(ckpt_consumed >= shard.trimmed,
                  "checkpoint watermark behind the backup trim point");
       const std::uint64_t skip = ckpt_consumed - shard.trimmed;
-      for (std::size_t i = static_cast<std::size_t>(skip); i < shard.backup.size(); ++i) {
-        const Event& ev = shard.backup[i];
-        // Replay runs the same processing a live worker would, so an
-        // event that deterministically crashes processing crashes the
-        // replay too — each attempt burns a restart until the budget is
-        // spent. Transient faults (WorkerKillFault fires once per
-        // victim) kill at most one attempt and then converge.
-        if (recovery_.kill_hook && recovery_.kill_hook(ev)) throw WorkerKilled(ev.id);
-        if (recovery_.delay_hook) recovery_.delay_hook(ev);
-        shard.runner->on_event(ev);
-        ++replayed;
-      }
-      shard.consumed = ckpt_consumed + replayed;
+      // Replay runs the same processing a live worker would, so an event
+      // that deterministically crashes processing crashes the replay too —
+      // each attempt burns a restart until the budget is spent. Transient
+      // faults (WorkerKillFault fires once per victim) kill at most one
+      // attempt and then converge.
+      shard.consumed = ckpt_consumed;
+      for (std::size_t i = static_cast<std::size_t>(skip); i < shard.backup.size(); ++i)
+        consume(shard, shard.backup[i]);
+      const std::uint64_t replayed = shard.consumed - ckpt_consumed;
       replayed_events_ += replayed;
       if (replayed_obs_) replayed_obs_->inc(replayed);
       // Post-recovery checkpoint: retires the replayed suffix from the
@@ -420,9 +418,8 @@ bool ShardedRunner::wait_for_room(Shard& shard,
   const auto give_up = std::chrono::steady_clock::now() + deadline;
   SpinBackoff backoff;
   while (shard.queue->size_approx() >= shard.queue->capacity()) {
-    // A dead worker never drains; report "room" so the caller falls
-    // through to the blocking push, the single owner of dead-worker
-    // handling (rethrow / supervise).
+    // A dead worker never drains; report "room" so the caller's liveness
+    // check, the single owner of dead-worker handling, takes over.
     if (shard.dead.load(std::memory_order_acquire)) return true;
     if (std::chrono::steady_clock::now() >= give_up) return false;
     if (push_retries_) push_retries_->inc();
@@ -431,252 +428,144 @@ bool ShardedRunner::wait_for_room(Shard& shard,
   return true;
 }
 
-bool ShardedRunner::overload_admit(Shard& shard, const Event& e) {
+std::span<Event> ShardedRunner::shed_priced_out(Shard& shard, std::span<Event> events) {
   OverloadMonitor& mon = *shard.monitor;
-  // route_event advanced the clock past e.ts already, so lateness >= 0.
+  // Routing advanced the clock past every ts here already, so lateness >= 0.
   const Timestamp clock = global_clock_.load(std::memory_order_relaxed);
-  const Timestamp lateness = clock > e.ts ? clock - e.ts : 0;
-  mon.observe(lateness);
-  const std::size_t depth = shard.queue->size_approx();
+  for (const Event& e : events) mon.observe(clock - e.ts);
   const Timestamp consumed = shard.consumed_clock.load(std::memory_order_relaxed);
   const Timestamp lag =
       (consumed != kMinTimestamp && clock > consumed) ? clock - consumed : 0;
-  const Pressure p = mon.assess(depth, lag);
-  // The producer is the ring's only writer, so "not full" cannot be
-  // stolen out from under us: once size_approx() < capacity the
-  // subsequent try_push is guaranteed to succeed.
-  const bool full = depth >= shard.queue->capacity();
-  switch (overload_.policy) {
-    case OverloadPolicy::kBlock:
-      break;
-    case OverloadPolicy::kShedNewest:
-      // Quality-blind: the arriving (newest) event is dropped the moment
-      // the ring is full. Tightest producer-latency bound.
-      if (full && !shard.dead.load(std::memory_order_acquire)) {
-        account_shed(shard, e, false);
-        return true;
-      }
-      break;
-    case OverloadPolicy::kShedByLateness:
-      // Price the event first: under pressure, arrivals past the
-      // adaptive cut are shed pre-emptively — before the ring is even
-      // full — leaving the remaining capacity to the fresh events that
-      // still have sealed results ahead of them.
-      if (mon.shed_late(lateness, p)) {
-        account_shed(shard, e, false);
-        return true;
-      }
-      if (full && !wait_for_room(shard, overload_.fresh_wait)) {
-        // A fresh event hit the deadline: the cut is too permissive for
-        // the offered load. Shed it (bounded latency wins) and tighten.
-        mon.note_forced_shed();
-        account_shed(shard, e, true);
-        return true;
-      }
-      break;
-    case OverloadPolicy::kFail:
-      if (full && !wait_for_room(shard, overload_.fail_deadline))
-        throw OverloadError(shard.index,
-                            std::chrono::duration_cast<std::chrono::milliseconds>(
-                                overload_.fail_deadline));
-      break;
+  const Pressure p = mon.assess(shard.queue->size_approx(), lag);
+  if (overload_.policy != OverloadPolicy::kShedByLateness || p < Pressure::kWarn)
+    return events;
+  // Price the events first: under pressure, arrivals past the adaptive
+  // cut are shed pre-emptively — before the ring is even full — leaving
+  // the remaining capacity to the fresh events that still have sealed
+  // results ahead of them. Survivors are compacted in place.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (mon.shed_late(clock - events[i].ts, p)) {
+      account_shed(shard, events[i], false);
+    } else if (kept++ != i) {
+      events[kept - 1] = std::move(events[i]);
+    }
   }
-  return false;
+  return events.first(kept);
 }
 
-void ShardedRunner::push_blocking(Shard& shard, Event e) {
-  if (shard.dropped) {
-    ++shard.dropped_events;
-    ++degraded_.dropped_events;
-    if (dropped_events_obs_) dropped_events_obs_->inc();
-    return;
-  }
-  if (shard.dead.load(std::memory_order_acquire)) {
-    // Without supervision, fail fast even when the queue still has room —
-    // the events would never be consumed anyway (the PR 3 contract).
-    if (!recovery_.enabled()) rethrow_worker_error(shard);
-    if (!supervise_dead_shard(shard)) {
-      ++shard.dropped_events;
-      ++degraded_.dropped_events;
-      if (dropped_events_obs_) dropped_events_obs_->inc();
-      return;
-    }
-  }
-  // Overload admission BEFORE the backup: a shed event never enters the
-  // execution stack at all — no backup entry, no replay, no checkpoint
-  // interaction — so exactly-once delivery of admitted events is
-  // untouched by shedding.
-  if (shard.monitor && overload_admit(shard, e)) return;
-  // Admit to the upstream backup BEFORE the queue: from this point on a
-  // worker death replays the event from the backup, so it can never be
-  // stranded in a dead incarnation's queue.
-  if (recovery_.enabled()) {
-    admit_to_backup(shard, e);
-    if (shard.dropped) {  // supervision inside the ring spin gave up
-      ++shard.dropped_events;
-      ++degraded_.dropped_events;
-      if (dropped_events_obs_) dropped_events_obs_->inc();
-      return;
-    }
-  }
-  SpinBackoff backoff;
-  while (!shard.queue->try_push(std::move(e))) {
+void ShardedRunner::admit(Shard& shard, std::span<Event> events) {
+  // Steps 1-2, re-checked before every ring transaction: a dead worker
+  // fails fast without supervision — even when the queue still has room,
+  // since nobody would ever consume it — and is supervised with it.
+  // False once the shard is dropped.
+  const auto live = [&] {
     if (shard.dead.load(std::memory_order_acquire)) {
-      // A dead worker will never drain this queue; surface its exception
-      // to the producer instead of spinning forever.
       if (!recovery_.enabled()) rethrow_worker_error(shard);
-      // The event is already in the backup: supervision replays it (or
-      // the drop policy accounts it) — pushing again would duplicate it.
       supervise_dead_shard(shard);
-      return;
     }
-    if (push_retries_) push_retries_->inc();
-    backoff.pause();
-  }
-}
-
-void ShardedRunner::push_batch_blocking(Shard& shard, std::vector<Event>& events) {
-  // Recovery is off on this path (on_batch falls back to per-event
-  // routing when it is on), so the only liveness hazard is a dead,
-  // never-draining consumer — same fail-fast contract as push_blocking.
-  //
-  // Overload admission runs at batch granularity: lateness is observed
-  // per event but pressure is graded once at entry (against the clock
-  // high-water mark the staging loop already advanced), and under
-  // kShedByLateness the priced-out late events are filtered before any
-  // ring transaction, so the ring transactions stay bulk-sized.
-  if (shard.monitor) {
-    OverloadMonitor& mon = *shard.monitor;
-    const Timestamp clock = global_clock_.load(std::memory_order_relaxed);
-    for (const Event& e : events)
-      mon.observe(clock > e.ts ? clock - e.ts : 0);
-    const Timestamp consumed = shard.consumed_clock.load(std::memory_order_relaxed);
-    const Timestamp lag =
-        (consumed != kMinTimestamp && clock > consumed) ? clock - consumed : 0;
-    const Pressure p = mon.assess(shard.queue->size_approx(), lag);
-    if (overload_.policy == OverloadPolicy::kShedByLateness &&
-        p >= Pressure::kWarn) {
-      auto keep = events.begin();
-      for (auto it = events.begin(); it != events.end(); ++it) {
-        const Timestamp lateness = clock > it->ts ? clock - it->ts : 0;
-        if (mon.shed_late(lateness, p)) {
-          account_shed(shard, *it, false);
-        } else {
-          if (keep != it) *keep = std::move(*it);
-          ++keep;
-        }
-      }
-      events.erase(keep, events.end());
-    }
-  }
-  std::span<Event> rest(events);
+    return !shard.dropped;
+  };
+  // Step 3, overload admission BEFORE the backup: a shed event never
+  // enters the execution stack at all — no backup entry, no replay, no
+  // checkpoint interaction — so exactly-once delivery of admitted events
+  // is untouched by shedding.
+  if (shard.monitor && live()) events = shed_priced_out(shard, events);
   SpinBackoff backoff;
-  while (!rest.empty()) {
-    // Dead-worker fail-fast parity with the scalar path: checked on
-    // EVERY iteration, before each ring transaction — including after a
-    // partial push — so a worker killed mid-batch surfaces its error
-    // here instead of the producer quietly filling (or spinning on) a
-    // queue nobody will ever drain.
-    if (shard.dead.load(std::memory_order_acquire)) rethrow_worker_error(shard);
-    const std::size_t n = shard.queue->try_push_n(rest);
-    if (n > 0) {
-      rest = rest.subspan(n);
-      // Occupancy sample for the depth gauge, taken AFTER the chunk
-      // landed — a genuine reading, never above capacity.
-      if (shard.queue_depth)
-        shard.queue_depth->set(
-            static_cast<std::int64_t>(shard.queue->size_approx()));
-      backoff.reset();
-      continue;
-    }
-    // Ring full with a live worker: apply the overload policy to the
-    // unpushed remainder (the newest events of the batch).
-    if (shard.monitor) {
+  while (!events.empty() && live()) {
+    // The producer is the ring's only writer: its room only grows until
+    // our own push, so a chunk of at most `room` events lands whole.
+    const std::size_t room = shard.queue->room(events.size());
+    if (room == 0) {
+      // Full ring, live worker: the policy decides for the unpushed
+      // remainder (the newest events) before any of it is backed up.
       switch (overload_.policy) {
         case OverloadPolicy::kBlock:
-          break;
+          if (push_retries_) push_retries_->inc();
+          backoff.pause();
+          continue;
         case OverloadPolicy::kShedNewest:
-          for (const Event& e : rest) account_shed(shard, e, false);
+          // Quality-blind: arrivals are dropped the moment the ring is full.
+          for (const Event& e : events) account_shed(shard, e, false);
           return;
         case OverloadPolicy::kShedByLateness:
-          if (!wait_for_room(shard, overload_.fresh_wait)) {
-            shard.monitor->note_forced_shed();
-            for (const Event& e : rest) account_shed(shard, e, true);
-            return;
-          }
-          continue;  // room appeared (or the worker died; loop-top check)
+          if (wait_for_room(shard, overload_.fresh_wait)) continue;
+          // Fresh events hit the deadline: the cut is too permissive for
+          // the offered load. Shed them (bounded latency wins) and tighten.
+          shard.monitor->note_forced_shed();
+          for (const Event& e : events) account_shed(shard, e, true);
+          return;
         case OverloadPolicy::kFail:
-          if (!wait_for_room(shard, overload_.fail_deadline))
-            throw OverloadError(shard.index,
-                                std::chrono::duration_cast<std::chrono::milliseconds>(
-                                    overload_.fail_deadline));
-          continue;
+          if (wait_for_room(shard, overload_.fail_deadline)) continue;
+          throw OverloadError(shard.index,
+                              std::chrono::duration_cast<std::chrono::milliseconds>(
+                                  overload_.fail_deadline));
       }
     }
-    if (push_retries_) push_retries_->inc();
-    backoff.pause();
+    std::size_t n = std::min(room, events.size());
+    // Step 4, backup BEFORE the ring: from here on a worker death replays
+    // the chunk from the backup, so it is never stranded in a dead
+    // incarnation's queue nor pushed twice. n == 0: the shard was dropped.
+    if (recovery_.enabled() && (n = admit_to_backup(shard, events.first(n))) == 0) continue;
+    // Step 5. A supervised restart inside admit_to_backup swapped in an
+    // empty ring, which has room for the chunk too.
+    const std::size_t pushed = shard.queue->try_push_n(events.first(n));
+    OOSP_CHECK(pushed == n, "ring lost room it had");
+    events = events.subspan(n);
+    backoff.reset();
   }
+  if (events.empty()) return;
+  // Anything left belongs to a dropped shard: lost, with accounting.
+  degraded_.dropped_events += events.size();
+  if (dropped_events_obs_) dropped_events_obs_->inc(events.size());
 }
 
-void ShardedRunner::route_event(const Event& e) {
+std::size_t ShardedRunner::route(const Event& e) {
   if (e.ts > global_clock_.load(std::memory_order_relaxed))
     global_clock_.store(e.ts, std::memory_order_relaxed);
   const std::size_t slot = partition_.slot_for(e.type);
   if (slot == PartitionSpec::kTickOnly || slot >= e.attrs.size()) {
     // Relevant to no query (pure clock progress) — every shard needs it.
-    // A keyed type whose event is missing the key attribute (malformed
-    // input) also lands here: broadcast is harmless because schema
-    // validation rejects it inside each engine before it touches state.
+    // A keyed type whose event lacks the key attribute (malformed input)
+    // lands here too. Session installs no schema registry, so no
+    // admission check rejects it: each shard's engine reads the key
+    // through Event::attr, whose precondition throws and kills the
+    // worker; with recovery on, replay hits it again until the restart
+    // budget is spent. Either way the error reaches the producer.
     if (broadcasts_) broadcasts_->inc();
-    for (auto& shard : shards_) push_blocking(*shard, e);
-    return;
+    return kBroadcast;
   }
-  const std::size_t target = hasher_(e.attrs[slot]) % shards_.size();
-  push_blocking(*shards_[target], e);
+  return hasher_(e.attrs[slot]) % shards_.size();
 }
 
 void ShardedRunner::on_event(const Event& e) {
   OOSP_REQUIRE(!finished_, "on_event after finish");
   ++events_seen_;
-  route_event(e);
+  const auto admit_copy = [&](Shard& shard) {
+    Event copy = e;  // the ring takes ownership
+    admit(shard, std::span<Event>(&copy, 1));
+  };
+  const std::size_t target = route(e);
+  if (target != kBroadcast) return admit_copy(*shards_[target]);
+  for (auto& shard : shards_) admit_copy(*shard);
 }
 
 void ShardedRunner::on_batch(std::span<const Event> batch) {
   OOSP_REQUIRE(!finished_, "on_batch after finish");
   events_seen_ += batch.size();
-  if (recovery_.enabled() || batch.size() == 1) {
-    // Per-event routing: the backup ring's admit-before-push invariant is
-    // per event (see header), and a batch of one gains nothing from
-    // staging.
-    for (const Event& e : batch) route_event(e);
-    return;
-  }
-  if (batch_stage_.size() != shards_.size()) batch_stage_.resize(shards_.size());
+  // Cleared up front, not after the pushes: a batch that threw part-way
+  // (dead worker, OverloadError) must not leak its remainder into the next.
+  for (auto& stage : batch_stage_) stage.clear();
   for (const Event& e : batch) {
-    if (e.ts > global_clock_.load(std::memory_order_relaxed))
-      global_clock_.store(e.ts, std::memory_order_relaxed);
-    const std::size_t slot = partition_.slot_for(e.type);
-    if (slot == PartitionSpec::kTickOnly || slot >= e.attrs.size()) {
-      if (broadcasts_) broadcasts_->inc();
-      for (auto& stage : batch_stage_) stage.push_back(e);
-      continue;
-    }
-    const std::size_t target = hasher_(e.attrs[slot]) % shards_.size();
-    batch_stage_[target].push_back(e);
-  }
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (batch_stage_[i].empty()) continue;
-    if (shards_[i]->dropped) {
-      // Should be unreachable (dropping requires recovery, which routes
-      // per event above), but keep the accounting correct regardless.
-      shards_[i]->dropped_events += batch_stage_[i].size();
-      degraded_.dropped_events += batch_stage_[i].size();
-      if (dropped_events_obs_) dropped_events_obs_->inc(batch_stage_[i].size());
+    const std::size_t target = route(e);
+    if (target != kBroadcast) {
+      batch_stage_[target].push_back(e);
     } else {
-      push_batch_blocking(*shards_[i], batch_stage_[i]);
+      for (auto& stage : batch_stage_) stage.push_back(e);
     }
-    batch_stage_[i].clear();
   }
+  for (std::size_t i = 0; i < shards_.size(); ++i)
+    if (!batch_stage_[i].empty()) admit(*shards_[i], batch_stage_[i]);
 }
 
 void ShardedRunner::finish() {

@@ -161,24 +161,24 @@ class ShardedRunner {
   ShardedRunner(const ShardedRunner&) = delete;
   ShardedRunner& operator=(const ShardedRunner&) = delete;
 
-  // Producer side; single-threaded. Under OverloadPolicy::kBlock (the
-  // default) blocks (pause/yield backoff) while the target shard's
-  // queue is full — backpressure preserves arrival order. The other
-  // policies bound that wait by shedding at admission or throwing
-  // OverloadError (runtime/overload.hpp). If the target worker has died
-  // (its engine threw), rethrows that worker's exception instead of
+  // Producer side; single-threaded. Routes `e` and admits it as a batch
+  // of one through the same per-shard admission as on_batch. Under
+  // OverloadPolicy::kBlock (the default) blocks (pause/yield backoff)
+  // while the target shard's queue is full — backpressure preserves
+  // arrival order. The other policies bound that wait by shedding at
+  // admission or throwing OverloadError (runtime/overload.hpp). If the
+  // target worker has died (its engine threw), rethrows that worker's
+  // exception — or, with recovery on, supervises the shard — instead of
   // spinning on a queue nobody will ever drain.
   void on_event(const Event& e);
 
   // Producer side, batched: partitions the whole slice up front, then
-  // moves each shard's sub-batch into its ring with bulk try_push_n
-  // transactions (one acquire/release pair per round instead of per
-  // event). Workers still process per event, so engine-visible order and
-  // checkpoint cadence are untouched. With recovery enabled this falls
-  // back to per-event routing: backup-before-push admission is a
-  // per-event invariant — staging a whole batch into the backup before a
-  // mid-push worker death would both replay it and push the remainder,
-  // duplicating events.
+  // admits each shard's sub-batch with bulk try_push_n transactions (one
+  // acquire/release pair per chunk instead of per event). With recovery
+  // on, each chunk enters the upstream backup before the ring; a chunk is
+  // at most the ring's and the backup's free room. Workers still process
+  // per event, so engine-visible order and checkpoint cadence are
+  // untouched.
   void on_batch(std::span<const Event> batch);
 
   // Drains the queues, joins the workers, runs per-shard finish().
@@ -262,11 +262,9 @@ class ShardedRunner {
     // `trimmed` were popped) is the (trimmed+i)-th event ever pushed;
     // trimming follows the worker's published checkpoint watermark.
     std::deque<Event> backup;
-    std::uint64_t pushed = 0;   // events ever admitted (producer-owned)
     std::uint64_t trimmed = 0;  // backup entries retired to a checkpoint
     std::size_t restarts = 0;   // lifetime restart count (producer-owned)
     bool dropped = false;       // kDegradeDropShard spent the budget
-    std::uint64_t dropped_events = 0;
 
     // Worker-published checkpoint: bytes + everything the shard emitted
     // up to that point, moved to "stable" storage so a later incarnation
@@ -288,28 +286,31 @@ class ShardedRunner {
     std::uint64_t consumed = 0;
   };
 
+  static constexpr std::size_t kBroadcast = static_cast<std::size_t>(-1);
+
   void worker_loop(Shard& shard);
-  void push_blocking(Shard& shard, Event e);
-  void route_event(const Event& e);
-  // Moves all of `events` into the shard's ring, blocking with backoff
-  // when full (kBlock) or per the overload policy; recovery is disabled
-  // on this path (see on_batch).
-  void push_batch_blocking(Shard& shard, std::vector<Event>& events);
+  // One event through the shard's engines, fault hooks first: the live
+  // worker loop and recovery replay share it.
+  void consume(Shard& shard, const Event& e);
+  // Advances the global clock and returns the shard `e` belongs to, or
+  // kBroadcast for tick-only (and key-less) events.
+  std::size_t route(const Event& e);
+  // The single producer-side admission path, for a batch or a batch of
+  // one, in steps: (1) dropped-shard accounting, (2) dead-worker rethrow
+  // or supervision, (3) overload admission, (4) upstream backup (recovery
+  // on), (5) bulk push. Moves the admitted events out of `events`.
+  void admit(Shard& shard, std::span<Event> events);
   [[noreturn]] void rethrow_worker_error(const Shard& shard);
 
   // ---- Overload control (producer thread; see runtime/overload.hpp).
   //
-  // Admission decision for one arrival: observes its lateness, grades
-  // pressure, and applies the policy. Returns true when the event was
-  // SHED (accounted; the caller must not admit it), false when it may
-  // proceed to the backup/queue — with queue room guaranteed for the
-  // shedding policies, so the subsequent push cannot spin unboundedly.
-  // kFail throws OverloadError past its deadline.
-  bool overload_admit(Shard& shard, const Event& e);
+  // Observes each event's lateness, grades pressure once and, under
+  // kShedByLateness, sheds the priced-out late events. Returns the
+  // survivors, compacted to the front of `events`.
+  std::span<Event> shed_priced_out(Shard& shard, std::span<Event> events);
   // Spins (with backoff) until the ring has room or `deadline` passes;
   // returns false on deadline. A dead worker aborts the wait with true —
-  // the caller falls through to the blocking push, whose dead-worker
-  // handling (rethrow / supervise) is the single source of truth.
+  // admit's liveness check is the single source of truth for it.
   bool wait_for_room(Shard& shard, std::chrono::steady_clock::duration deadline);
   // Books one shed event: DegradedAccounting, per-query attribution,
   // and the shard monitor's metric slots.
@@ -318,7 +319,10 @@ class ShardedRunner {
   // Supervision internals (recovery enabled only).
   void checkpoint_shard(Shard& shard);          // worker thread (or producer mid-recovery)
   void trim_backup(Shard& shard);               // producer thread
-  void admit_to_backup(Shard& shard, const Event& e);  // producer thread
+  // Copies the longest prefix of `chunk` the bounded backup has room for,
+  // blocking until it has any; returns that count, 0 if the shard was
+  // dropped meanwhile. Producer thread.
+  std::size_t admit_to_backup(Shard& shard, std::span<const Event> chunk);
   // Join the dead worker, restore + replay with bounded retries, respawn.
   // Returns false when the shard was dropped (kDegradeDropShard);
   // rethrows the worker error on kFail exhaustion (or recovery disabled).
@@ -366,8 +370,8 @@ class ShardedRunner {
   Counter* dropped_events_obs_ = nullptr;
   std::uint64_t replayed_events_ = 0;
   DegradedAccounting degraded_;
-  // on_batch scratch: per-shard staged sub-batches (cleared after each
-  // push round; capacity persists across batches).
+  // on_batch scratch: per-shard staged sub-batches (cleared at the start
+  // of each batch; capacity persists across batches).
   std::vector<std::vector<Event>> batch_stage_;
 };
 

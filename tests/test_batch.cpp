@@ -284,7 +284,8 @@ TEST_F(BatchDeterminism, AggressiveNegationNetSetMatchesPerEvent) {
 std::vector<std::pair<QueryId, MatchKey>> run_session_stream(
     const SyntheticWorkload& wl, const std::vector<Event>& arrivals, Timestamp slack,
     std::size_t shards, std::size_t batch, std::uint64_t seed,
-    std::size_t checkpoint_every = 0, WorkerKillHook hook = {}) {
+    std::size_t checkpoint_every = 0, WorkerKillHook hook = {},
+    std::size_t queue_capacity = 0) {
   const auto sink = std::make_shared<CollectingTaggedSink>();
   SessionConfig cfg;
   cfg.engine(EngineKind::kOoo)
@@ -299,6 +300,7 @@ std::vector<std::pair<QueryId, MatchKey>> run_session_stream(
         .restart_backoff(std::chrono::milliseconds(0), std::chrono::milliseconds(0));
   }
   if (hook) cfg.kill_hook(std::move(hook));
+  if (queue_capacity) cfg.queue_capacity(queue_capacity);
   Session session(wl.registry(), cfg, sink);
   if (batch == 0) {
     for (const Event& e : arrivals) session.push(e);
@@ -360,9 +362,9 @@ TEST_F(BatchRecovery, KillAtEveryBatchBoundaryYieldsPerEventOutput) {
   const auto oracle = run_session_stream(wl_, arrivals_, slack_, 3, 0, 0,
                                          /*checkpoint_every=*/7);
   ASSERT_GT(oracle.size(), 5u);
-  // Batched + recovery, fault-free, must already be bit-identical (the
-  // runner falls back to per-event routing so the backup invariant
-  // holds).
+  // Batched + recovery, fault-free, must already be bit-identical (each
+  // staged chunk enters the backup before the ring, so the backup
+  // invariant holds per chunk).
   EXPECT_EQ(run_session_stream(wl_, arrivals_, slack_, 3, kBatch, 0, 7), oracle);
   // Kill the worker at the first event of every batch: the crash lands
   // exactly on a producer-side batch boundary each time.
@@ -373,6 +375,37 @@ TEST_F(BatchRecovery, KillAtEveryBatchBoundaryYieldsPerEventOutput) {
     EXPECT_EQ(run, oracle) << "diverged after kill at batch boundary " << i;
     EXPECT_EQ(fault.victims_remaining(), 0u) << "kill at " << i << " never fired";
   }
+  // Seeded ragged batches (1..2*kBatch events) with a kill at EVERY
+  // index: most deaths land mid-batch, on a chunk the producer has
+  // already staged into the backup.
+  constexpr std::uint64_t kRaggedSeed = 41;
+  EXPECT_EQ(run_session_stream(wl_, arrivals_, slack_, 3, kBatch, kRaggedSeed, 7), oracle);
+  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+    WorkerKillFault fault({arrivals_[i].id});
+    const auto run = run_session_stream(wl_, arrivals_, slack_, 3, kBatch, kRaggedSeed, 7,
+                                        fault.hook());
+    EXPECT_EQ(run, oracle) << "diverged after kill at index " << i << " (ragged)";
+    EXPECT_EQ(fault.victims_remaining(), 0u) << "kill at " << i << " never fired";
+  }
+}
+
+TEST_F(BatchRecovery, OneBatchLargerThanTheBackupBoundFinishes) {
+  // One push_batch of the whole stream into 16-slot rings with a cadence
+  // of 7: the staged sub-batches far exceed the backup bound
+  // (2 * 7 + 16 events), so admission must proceed chunk by chunk as
+  // checkpoints trim the backup — a whole-batch admission would deadlock.
+  const auto oracle = run_session_stream(wl_, arrivals_, slack_, 3, 0, 0, 7);
+  ASSERT_GT(arrivals_.size(), 2 * 7 + 16u);
+  EXPECT_EQ(run_session_stream(wl_, arrivals_, slack_, 3, arrivals_.size(), 0, 7, {},
+                               /*queue_capacity=*/16),
+            oracle);
+  // The same with a mid-stream kill: supervision restarts the shard from
+  // inside the chunked admission.
+  WorkerKillFault fault({arrivals_[arrivals_.size() / 2].id});
+  EXPECT_EQ(run_session_stream(wl_, arrivals_, slack_, 3, arrivals_.size(), 0, 7,
+                               fault.hook(), /*queue_capacity=*/16),
+            oracle);
+  EXPECT_EQ(fault.victims_remaining(), 0u);
 }
 
 // -------------------------------- checkpoint/restore under batched feed

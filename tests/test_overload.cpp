@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -294,56 +296,70 @@ TEST(OverloadSession, FailPolicyThrowsOverloadErrorAndCloseStillDrains) {
 TEST(OverloadSession, SheddingComposesWithRecoveryExactlyOnce) {
   const TypeRegistry reg = make_abcd_registry();
   const auto offered = make_offered(reg, 4'000, 400);
-  OverloadConfig cfg;
-  cfg.policy = OverloadPolicy::kShedNewest;
 
-  // The hooks count PROCESSED events (shedding decides what is admitted,
-  // so event ids are useless as triggers): the consumer crawls for the
-  // first 300 — long enough for the paced producer to overrun the rings
-  // and shed — then speeds up, and the 400th processed event kills its
-  // worker exactly once. Shedding must not confuse the checkpoint/replay
-  // path, and replay must not duplicate matches.
-  auto processed = std::make_shared<std::atomic<std::uint64_t>>(0);
-  auto killed = std::make_shared<std::atomic<bool>>(false);
-  const auto sink = std::make_shared<CollectingTaggedSink>();
-  Session session(reg,
-                  SessionConfig{}
-                      .engine(EngineKind::kOoo)
-                      .slack(150)
-                      .late_policy(LatePolicy::kDrop)
-                      .shards(2)
-                      .queue_capacity(16)
-                      .checkpoint_every(16)
-                      .overload(std::move(cfg))
-                      .kill_hook([processed, killed](const Event&) {
-                        return processed->load(std::memory_order_relaxed) >= 400 &&
-                               !killed->exchange(true);
-                      })
-                      .delay_hook([processed](const Event&) {
-                        if (processed->fetch_add(1, std::memory_order_relaxed) < 300)
-                          std::this_thread::sleep_for(std::chrono::microseconds(300));
-                      })
-                      .query(kPairQuery),
-                  sink);
-  for (const Event& e : offered) {
-    session.push(e);
-    std::this_thread::sleep_for(std::chrono::microseconds(25));
+  // batch 0 = per-event push; 32 = push_batch slices, paced at the same
+  // per-event rate, so shedding and backup staging act on whole chunks.
+  for (const std::size_t batch : {std::size_t{0}, std::size_t{32}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    OverloadConfig cfg;
+    cfg.policy = OverloadPolicy::kShedNewest;
+
+    // The hooks count PROCESSED events (shedding decides what is admitted,
+    // so event ids are useless as triggers): the consumer crawls for the
+    // first 300 — long enough for the paced producer to overrun the rings
+    // and shed — then speeds up, and the 400th processed event kills its
+    // worker exactly once. Shedding must not confuse the checkpoint/replay
+    // path, and replay must not duplicate matches.
+    auto processed = std::make_shared<std::atomic<std::uint64_t>>(0);
+    auto killed = std::make_shared<std::atomic<bool>>(false);
+    const auto sink = std::make_shared<CollectingTaggedSink>();
+    Session session(reg,
+                    SessionConfig{}
+                        .engine(EngineKind::kOoo)
+                        .slack(150)
+                        .late_policy(LatePolicy::kDrop)
+                        .shards(2)
+                        .queue_capacity(16)
+                        .checkpoint_every(16)
+                        .overload(std::move(cfg))
+                        .kill_hook([processed, killed](const Event&) {
+                          return processed->load(std::memory_order_relaxed) >= 400 &&
+                                 !killed->exchange(true);
+                        })
+                        .delay_hook([processed](const Event&) {
+                          if (processed->fetch_add(1, std::memory_order_relaxed) < 300)
+                            std::this_thread::sleep_for(std::chrono::microseconds(300));
+                        })
+                        .query(kPairQuery),
+                    sink);
+    if (batch == 0) {
+      for (const Event& e : offered) {
+        session.push(e);
+        std::this_thread::sleep_for(std::chrono::microseconds(25));
+      }
+    } else {
+      for (std::size_t i = 0; i < offered.size(); i += batch) {
+        const std::size_t n = std::min(batch, offered.size() - i);
+        session.push_batch(std::span<const Event>(offered.data() + i, n));
+        std::this_thread::sleep_for(std::chrono::microseconds(25 * n));
+      }
+    }
+    session.close();
+
+    EXPECT_TRUE(killed->load());
+    EXPECT_GE(session.restarts(), 1u);
+    EXPECT_GT(session.overload_shed(), 0u);
+    EXPECT_GT(session.metrics_snapshot().counter("oosp_shard_checkpoints_total"), 0u);
+
+    // Exactly-once over the ADMITTED stream: shedding and replay only ever
+    // remove inputs, so for this positive SEQ query every produced match
+    // must exist in the oracle set over the full offered stream, exactly
+    // once — precision 1.0 means no replay duplicates and no phantoms.
+    std::vector<MatchKey> expected = oracle_keys(session.query(0), offered);
+    std::sort(expected.begin(), expected.end());
+    const VerifyResult v = compare_keys(expected, sink->keys_for(0));
+    EXPECT_EQ(v.precision(), 1.0) << "false_positives=" << v.false_positives;
   }
-  session.close();
-
-  EXPECT_TRUE(killed->load());
-  EXPECT_GE(session.restarts(), 1u);
-  EXPECT_GT(session.overload_shed(), 0u);
-  EXPECT_GT(session.metrics_snapshot().counter("oosp_shard_checkpoints_total"), 0u);
-
-  // Exactly-once over the ADMITTED stream: shedding and replay only ever
-  // remove inputs, so for this positive SEQ query every produced match
-  // must exist in the oracle set over the full offered stream, exactly
-  // once — precision 1.0 means no replay duplicates and no phantoms.
-  std::vector<MatchKey> expected = oracle_keys(session.query(0), offered);
-  std::sort(expected.begin(), expected.end());
-  const VerifyResult v = compare_keys(expected, sink->keys_for(0));
-  EXPECT_EQ(v.precision(), 1.0) << "false_positives=" << v.false_positives;
 }
 
 }  // namespace

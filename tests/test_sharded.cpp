@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -445,6 +446,69 @@ TEST(SessionSharded, DeadWorkerFailsFastFromPushBatchWithRoomToSpare) {
   EXPECT_TRUE(threw) << "producer kept filling a dead worker's queue";
   // Orderly teardown after the surfaced failure.
   session.close();
+}
+
+// Hostile input: an event of a keyed type that lacks its key attribute.
+// Routing has no key to hash, so it broadcasts the event; Session installs
+// no schema registry, so what rejects it is the engine's read of the key
+// (Event::attr's precondition). Inline, sharded, and sharded with
+// recovery (where replay hits it again until a shard's restart budget is
+// spent), push and push_batch alike must surface that one clean error —
+// no crash, no hang, no other message.
+TEST(SessionSharded, EventMissingKeyAttributeFailsWithCleanError) {
+  const TypeRegistry reg = make_abcd_registry();
+  std::vector<Event> events;
+  for (EventId id = 0; id < 8; ++id)
+    events.push_back(make_event(reg, (id % 2 == 0) ? "A" : "B", id,
+                                static_cast<Timestamp>(id),
+                                static_cast<std::int64_t>(id % 4)));
+  Event keyless = make_event(reg, "A", 8, 8);
+  keyless.attrs.clear();
+  events.push_back(keyless);
+
+  struct Setup {
+    std::size_t shards;
+    std::size_t checkpoint_every;
+  };
+  for (const Setup setup : {Setup{1, 0}, Setup{2, 0}, Setup{2, 4}}) {
+    for (const bool batched : {false, true}) {
+      SessionConfig cfg;
+      cfg.engine(EngineKind::kOoo)
+          .slack(10)
+          .shards(setup.shards)
+          .query("PATTERN SEQ(A a, B b) WHERE a.k == b.k WITHIN 50");
+      if (setup.checkpoint_every) {
+        cfg.checkpoint_every(setup.checkpoint_every)
+            .max_restarts(2)
+            .restart_backoff(std::chrono::milliseconds(0), std::chrono::milliseconds(0));
+      }
+      Session session(reg, cfg, std::make_shared<CollectingTaggedSink>());
+      std::vector<std::string> errors;
+      try {
+        if (batched) {
+          session.push_batch(events);
+        } else {
+          for (const Event& e : events) session.push(e);
+        }
+      } catch (const std::exception& err) {
+        errors.emplace_back(err.what());
+      }
+      try {
+        session.close();
+      } catch (const std::exception& err) {
+        errors.emplace_back(err.what());
+      }
+      const std::string label = "shards=" + std::to_string(setup.shards) +
+                                " checkpoint_every=" +
+                                std::to_string(setup.checkpoint_every) +
+                                (batched ? " push_batch" : " push");
+      // Exactly once: from a push, or from close() when the worker died
+      // after the last push.
+      ASSERT_EQ(errors.size(), 1u) << label;
+      EXPECT_NE(errors[0].find("attribute slot out of range"), std::string::npos)
+          << label << ": " << errors[0];
+    }
+  }
 }
 
 }  // namespace
